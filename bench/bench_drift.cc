@@ -9,7 +9,7 @@
 //     any change means the diagnosis pipeline's behaviour changed, not just
 //     its speed. Always an error.
 //   * sustained wall-clock regression — a sweep cell (scenario × workers ×
-//     replay × prefilter) runs more than --threshold percent (default 20)
+//     prefilter) runs more than --threshold percent (default 20)
 //     slower than its baseline (the first revision that recorded the cell)
 //     for --sustain consecutive revisions (default 2). One slow revision is
 //     treated as machine noise; two in a row is drift.
@@ -19,7 +19,9 @@
 // Artifacts are folded in lexicographic *filename* order, so archives named
 // 0001-<rev>.json, 0002-<rev>.json, ... replay history correctly; scenarios
 // or cells that appear or disappear between revisions are reported but are
-// not errors (the corpus grows).
+// not errors (the corpus grows). Cells an archive marks `"replay": true`
+// measured the replay cache the pipeline no longer has; they are skipped, so
+// they read as absent.
 //
 //   $ bench_drift ci-archive/           # every *.json in the directory
 //   $ bench_drift a.json b.json c.json  # explicit files (same filename sort)
@@ -50,7 +52,7 @@ struct Cell {
 
 struct Scenario {
   long long schedules = 0;
-  // "w4 replay+prefilter" -> timing; the key is stable across revisions.
+  // "w4 +prefilter" -> timing; the key is stable across revisions.
   std::map<std::string, Cell> cells;
 };
 
@@ -60,10 +62,9 @@ struct Artifact {
   std::map<std::string, Scenario> scenarios;
 };
 
-std::string CellKey(long long workers, bool replay, bool prefilter) {
+std::string CellKey(long long workers, bool prefilter) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "w%lld %sreplay %sprefilter", workers, replay ? "+" : "-",
-                prefilter ? "+" : "-");
+  std::snprintf(buf, sizeof buf, "w%lld %sprefilter", workers, prefilter ? "+" : "-");
   return buf;
 }
 
@@ -116,15 +117,16 @@ bool LoadArtifact(const std::string& path, Artifact* out) {
       if (workers == nullptr || seconds == nullptr) {
         continue;  // tolerate older artifacts with fewer fields
       }
+      if (const JsonValue* replay = c.Find("replay"); replay != nullptr && replay->AsBool()) {
+        continue;
+      }
       Cell cell;
       cell.seconds = seconds->AsDouble();
       if (const JsonValue* ident = c.Find("identical_to_serial"); ident != nullptr) {
         cell.identical = ident->AsBool(true);
       }
-      const JsonValue* replay = c.Find("replay");
       const JsonValue* prefilter = c.Find("prefilter");
-      sc.cells[CellKey(workers->AsInt(), replay != nullptr && replay->AsBool(),
-                       prefilter != nullptr && prefilter->AsBool())] = cell;
+      sc.cells[CellKey(workers->AsInt(), prefilter != nullptr && prefilter->AsBool())] = cell;
     }
   }
   return true;

@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
+#include "src/util/rng.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -51,26 +52,30 @@ struct LifsMetrics {
   }
 };
 
-SupervisorOptions LifsSupervisorOptions(const LifsOptions& options,
-                                        ckpt::CheckpointStore* store) {
+SupervisorOptions LifsSupervisorOptions(const LifsOptions& options) {
   SupervisorOptions so = options.supervisor;
   so.max_steps = options.max_steps_per_run;
-  so.checkpoints = store;
   return so;
 }
 
-// Access-pattern fingerprint of one run; pure function of the trace, so
-// parallel workers can compute it off the merge path.
-std::string TraceFingerprint(const RunResult& run) {
-  std::string fp;
+// Access-pattern fingerprint of one run: a 64-bit hash folded over the
+// (tid, prog, pc, occurrence, addr, is_write) of every access, in trace
+// order. Pure function of the trace, so parallel workers can compute it off
+// the merge path.
+uint64_t TraceFingerprint(const RunResult& run) {
+  uint64_t h = 0;
   for (const ExecEvent& e : run.trace) {
-    if (e.is_access) {
-      fp += StrFormat("%d.%d.%d.%d.%llu.%d;", e.di.tid, e.di.at.prog, e.di.at.pc,
-                      e.di.occurrence, static_cast<unsigned long long>(e.addr),
-                      e.is_write ? 1 : 0);
+    if (!e.is_access) {
+      continue;
+    }
+    for (const uint64_t field :
+         {static_cast<uint64_t>(e.di.tid), static_cast<uint64_t>(e.di.at.prog),
+          static_cast<uint64_t>(e.di.at.pc), static_cast<uint64_t>(e.di.occurrence),
+          static_cast<uint64_t>(e.addr), static_cast<uint64_t>(e.is_write)}) {
+      h = Mix64(h ^ field);
     }
   }
-  return fp;
+  return h;
 }
 
 // Schedules dispatched per barrier and worker. Larger batches amortize the
@@ -204,16 +209,7 @@ Lifs::Lifs(const KernelImage* image, std::vector<ThreadSpec> slice,
       slice_(std::move(slice)),
       setup_(std::move(setup)),
       options_(options),
-      owned_store_(options.checkpointing && options.checkpoint_store == nullptr
-                       ? std::make_unique<ckpt::CheckpointStore>(
-                             ckpt::StoreOptions{.event_scope = options.event_scope})
-                       : nullptr),
-      supervisor_(image,
-                  LifsSupervisorOptions(
-                      options, options.checkpointing
-                                   ? (options.checkpoint_store != nullptr ? options.checkpoint_store
-                                                                          : owned_store_.get())
-                                   : nullptr)) {}
+      supervisor_(image, LifsSupervisorOptions(options)) {}
 
 bool Lifs::SearchCutShort() {
   if (!result_.status.ok()) {
@@ -348,9 +344,9 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
 }
 
 bool Lifs::Absorb(EnforceResult& er, const PreemptionSchedule& schedule, int interleavings,
-                  std::string fingerprint) {
+                  uint64_t fingerprint) {
   Learn(er.run);
-  const bool fresh = fingerprints_.insert(std::move(fingerprint)).second;
+  const bool fresh = fingerprints_.insert(fingerprint).second;
   const bool matched = MatchesTarget(er.run.failure);
   LifsMetrics::Get().preemption_points->Record(
       static_cast<int64_t>(schedule.points.size()));
@@ -423,7 +419,7 @@ bool Lifs::RunFrontier(const FrontierFn& next, int interleavings, ThreadPool* po
 
     struct BatchRun {
       StatusOr<EnforceResult> supervised = Status::Unavailable("not run");
-      std::string fingerprint;
+      uint64_t fingerprint = 0;
     };
     std::vector<BatchRun> runs(batch.size());
     const uint64_t nonce_base = static_cast<uint64_t>(result_.schedules_executed);
@@ -447,8 +443,7 @@ bool Lifs::RunFrontier(const FrontierFn& next, int interleavings, ThreadPool* po
         ++result_.aborted_runs;
         continue;
       }
-      if (Absorb(*runs[i].supervised, batch[i], interleavings,
-                 std::move(runs[i].fingerprint))) {
+      if (Absorb(*runs[i].supervised, batch[i], interleavings, runs[i].fingerprint)) {
         result_.speculative_runs += static_cast<int64_t>(batch.size() - i - 1);
         obs::Span("lifs", "lifs.speculative_discard", 'i')
             .Arg("count", batch.size() - i - 1);

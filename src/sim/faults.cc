@@ -1,25 +1,15 @@
 #include "src/sim/faults.h"
 
 namespace aitia {
-namespace {
 
-// splitmix64 finalizer: decorrelates (seed, nonce) pairs so nearby nonces
-// (attempt 0 vs attempt 1 of the same run) get independent fault streams.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
+// Mix64 decorrelates (seed, nonce) pairs so nearby nonces (attempt 0 vs
+// attempt 1 of the same run) get independent fault streams.
 uint64_t FaultNonce(uint64_t run_nonce, int attempt) {
-  return Mix(run_nonce * 0x100000001b3ULL + static_cast<uint64_t>(attempt));
+  return Mix64(run_nonce * 0x100000001b3ULL + static_cast<uint64_t>(attempt));
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t nonce)
-    : plan_(plan), rng_(Mix(plan.seed ^ Mix(nonce))) {
+    : plan_(plan), rng_(Mix64(plan.seed ^ Mix64(nonce))) {
   if (plan_.abort_run > 0) {
     will_abort_ = rng_.Chance(plan_.abort_run, 1000);
     if (will_abort_) {

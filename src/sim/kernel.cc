@@ -1,6 +1,7 @@
 #include "src/sim/kernel.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include "src/util/log.h"
 #include "src/util/strings.h"
@@ -173,13 +174,14 @@ int64_t KernelSim::Record(ThreadContext& t, const Instr& instr, bool is_access, 
   e.len = len;
   e.value = value;
   e.locks_held = t.held_locks;
-  trace_.push_back(e);
+  const int64_t seq = e.seq;
+  trace_.push_back(std::move(e));
   t.exec_counts[t.pc]++;
   AckIpi(t.id);
   if (observer_) {
     observer_(trace_.back());
   }
-  return e.seq;
+  return seq;
 }
 
 void KernelSim::AckIpi(ThreadId tid) {

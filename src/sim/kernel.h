@@ -25,11 +25,7 @@
 
 namespace aitia {
 
-namespace ckpt {
-class SimAccess;  // checkpoint/restore shim (src/ckpt/checkpoint.cc)
-}  // namespace ckpt
-
-// Everything a finished run yields; the input to race extraction (hb.h),
+// Everything a finished run yields; the input to race extraction (races.h),
 // LIFS, and Causality Analysis.
 struct RunResult {
   std::optional<Failure> failure;
@@ -131,14 +127,6 @@ class KernelSim {
   const Memory& memory() const { return memory_; }
 
  private:
-  // Checkpoint/restore (src/ckpt) serializes and rebuilds the full run state;
-  // it is the only code allowed to bypass the execution interface.
-  friend class ckpt::SimAccess;
-  // Restore shell: image wired up, no setup phase, no threads. ckpt::SimAccess
-  // overwrites every field right after.
-  struct RestoreShellTag {};
-  KernelSim(const KernelImage* image, RestoreShellTag) : image_(image), memory_(*image) {}
-
   ThreadContext& Mut(ThreadId tid) { return threads_[static_cast<size_t>(tid)]; }
 
   // Records one retired instruction; returns the event seq.

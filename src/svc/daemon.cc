@@ -518,7 +518,6 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
   AitiaOptions options;
   options.set_jobs(job.jobs);
   options.set_deadline(deadline_seconds);
-  options.set_replay_cache(options_.replay_cache);
   options.causality.stages = options_.triage_stages;
   if (job.relay != nullptr) {
     options.set_event_scope(job.relay->scope());

@@ -73,11 +73,6 @@ struct DaemonOptions {
   // How long Drain() lets in-flight work finish before arming the hard
   // cancel probe that deadlines it out.
   int64_t drain_grace_ms = 5000;
-  // Checkpoint/prefix-replay (src/ckpt) inside every diagnosis. Orthogonal
-  // to the result cache above: the cache skips whole repeat requests, the
-  // replay cache skips re-executed prefixes within one diagnosis. Chaos runs
-  // bypass both automatically.
-  bool replay_cache = true;
   // Static triage pre-filter stages applied inside every diagnosis
   // (DESIGN.md §13); empty disables the pre-filter (--no-prefilter). Chaos
   // runs disable it automatically — triage proofs assume faultless replay.

@@ -52,7 +52,7 @@ int Usage(FILE* to) {
   std::fprintf(to,
                "usage: aitia [--json] [--jobs N] [--trace FILE] [--metrics]\n"
                "             [--sarif FILE] [--metrics-json FILE]\n"
-               "             [--no-replay-cache] [--no-prefilter] [--triage SPEC]\n"
+               "             [--no-prefilter] [--triage SPEC]\n"
                "             [--log-level LEVEL] <trace.ait | scenario-id>\n"
                "       aitia --emit <scenario-id>   # print a corpus scenario as .ait\n"
                "       aitia --list                 # list corpus scenario ids\n"

@@ -13,7 +13,7 @@
 //     scenario's racing address ranges;
 //   * serializer round-trip: every scenario re-parses and re-serializes
 //     byte-identically;
-//   * triage/replay/parallelism purity (differential stride): re-diagnosing
+//   * triage/parallelism purity (differential stride): re-diagnosing
 //     with the pre-filter off and 4 workers yields bit-identical semantics;
 //   * accounting: schedules_executed + flips_skipped == tested races.
 //
@@ -257,7 +257,7 @@ ScenarioResult RunOne(const gen::GenOptions& options, int index) {
 
   if (index % kDifferentialStride == 0) {
     // Differential pass: pre-filter off + 4 flip workers must not change
-    // semantics (purity of triage, replay cache, and parallelism).
+    // semantics (purity of triage and parallelism).
     AitiaOptions alt = SweepOptions();
     alt.set_prefilter(false);
     alt.set_jobs(4);

@@ -1,15 +1,21 @@
 #include "src/util/rng.h"
 
 namespace aitia {
+
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 namespace {
 
 // splitmix64, used to expand the seed into the xoshiro state.
 uint64_t SplitMix64(uint64_t& x) {
+  const uint64_t out = Mix64(x);
   x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return out;
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

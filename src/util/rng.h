@@ -15,6 +15,11 @@
 
 namespace aitia {
 
+// The splitmix64 output function: a bijective 64-bit mix, so nearby inputs
+// (consecutive nonces, or a running hash and the next field folded into it)
+// map to unrelated outputs.
+uint64_t Mix64(uint64_t x);
+
 // xoshiro256** — small, fast, and good enough for schedule fuzzing.
 class Rng {
  public:

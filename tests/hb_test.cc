@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/races.h"
 #include "src/sim/builder.h"
-#include "src/sim/hb.h"
 #include "src/sim/policy.h"
 
 namespace aitia {

@@ -4,6 +4,7 @@
 
 #include "src/bugs/registry.h"
 #include "src/core/lifs.h"
+#include "src/gen/generator.h"
 #include "src/sim/builder.h"
 
 namespace aitia {
@@ -165,6 +166,38 @@ TEST(LifsTest, ExploredSchedulesRecordedOnDemand) {
   ASSERT_TRUE(r.reproduced);
   EXPECT_EQ(static_cast<int64_t>(r.explored.size()), r.schedules_executed);
   EXPECT_TRUE(r.explored.back().matched);
+}
+
+int64_t EquivalentToEarlier(const LifsResult& r) {
+  int64_t n = 0;
+  for (const ExploredSchedule& e : r.explored) {
+    n += e.equivalent_to_earlier ? 1 : 0;
+  }
+  return n;
+}
+
+// Pins how many explored schedules repeat an earlier run's access pattern
+// (the per-run trace fingerprint), on a curated bug and on a generated
+// scenario whose search finishes without reproducing anything.
+TEST(LifsTest, EquivalentToEarlierCountsArePinned) {
+  LifsOptions options;
+  options.keep_explored = true;
+  LifsResult cve = RunLifs(MakeScenario("CVE-2017-15649"), options);
+  ASSERT_TRUE(cve.reproduced);
+  EXPECT_EQ(cve.schedules_executed, 472);
+  EXPECT_EQ(EquivalentToEarlier(cve), 428);
+
+  gen::GenOptions gen_options;
+  gen_options.tmpl = gen::GenTemplate::kBenign;
+  gen_options.seed = 7;
+  gen_options.knobs.window = 0;
+  gen_options.knobs.salt = 0;
+  const gen::GeneratedScenario g = gen::GenerateScenario(gen_options);
+  Lifs lifs(g.scenario.image.get(), g.scenario.slice, g.scenario.setup, options);
+  LifsResult benign = lifs.Run();
+  EXPECT_FALSE(benign.reproduced);
+  EXPECT_EQ(benign.schedules_executed, 1690);
+  EXPECT_EQ(EquivalentToEarlier(benign), 1682);
 }
 
 TEST(LifsTest, NoFailureScenarioExhaustsSearch) {

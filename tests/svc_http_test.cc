@@ -265,7 +265,7 @@ std::string BodyOf(const std::string& response) {
 
 TEST(PrometheusTest, SanitizeName) {
   EXPECT_EQ(obs::PromSanitizeName("svc.requests"), "svc_requests");
-  EXPECT_EQ(obs::PromSanitizeName("ckpt.entry_hits_max"), "ckpt_entry_hits_max");
+  EXPECT_EQ(obs::PromSanitizeName("lifs.schedules_executed"), "lifs_schedules_executed");
   EXPECT_EQ(obs::PromSanitizeName("1bad"), "_1bad");
   EXPECT_EQ(obs::PromSanitizeName("has space+plus"), "has_space_plus");
   EXPECT_EQ(obs::PromSanitizeName(""), "_");
